@@ -147,8 +147,16 @@ def _wls_tensors(signals, gtab):
     try:
         beta = np.linalg.solve(xtwx, xtwy[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        # Singular weighting (e.g. all-zero voxels): keep the OLS fit.
-        pass
+        # Some voxel's weighting is singular (e.g. an all-zero voxel):
+        # that voxel keeps its OLS fit.  Every other voxel gets the
+        # WLS solution a batch without the singular one would give it,
+        # so a voxel's fit never depends on which voxels share its
+        # batch (a block-wise fit equals a whole-volume fit).
+        for v in range(len(beta)):
+            try:
+                beta[v] = np.linalg.solve(xtwx[v], xtwy[v, :, None])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
     return beta[:, :6]
 
 

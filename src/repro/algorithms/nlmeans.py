@@ -9,12 +9,18 @@ The implementation follows Coupe et al.'s blockwise scheme in its
 simplest per-voxel form: for every masked voxel, candidate patches
 within a search window are weighted by Gaussian-kernelized patch
 distance and averaged.  It is vectorized over search offsets so that the
-scaled-down test volumes denoise in milliseconds.
+scaled-down test volumes denoise in milliseconds.  The kernel is pure,
+so it is memoized by argument content (:mod:`repro.algorithms.memo`):
+the engines denoise the same volumes, and each distinct one is computed
+once per process.
 """
 
 import numpy as np
 
+from repro.algorithms.memo import pure_kernel
 
+
+@pure_kernel
 def nlmeans_3d(volume, sigma, mask=None, patch_radius=1, block_radius=2):
     """Denoise a 3-d volume with non-local means.
 
@@ -105,7 +111,8 @@ def _box_sum_3d(volume, width):
         zero_shape = list(cumsum.shape)
         zero_shape[axis] = 1
         padded = np.concatenate([np.zeros(zero_shape), cumsum], axis=axis)
-        upper = np.take(padded, range(width, padded.shape[axis]), axis=axis)
-        lower = np.take(padded, range(0, padded.shape[axis] - width), axis=axis)
+        lead = (slice(None),) * axis
+        upper = padded[lead + (slice(width, None),)]
+        lower = padded[lead + (slice(0, padded.shape[axis] - width),)]
         out = upper - lower
     return out

@@ -311,6 +311,5 @@ class DaskClient(Engine):
             category=f"dask-{fn_name}"
             if fn_name and fn_name != "<lambda>" else "dask-task",
             op=getattr(fn, "op", None),
-            memoizable=True,
         )
         return task

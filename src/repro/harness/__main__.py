@@ -783,6 +783,14 @@ def _compare_bench(baseline, candidate, paths=("baseline", "candidate"),
                 f" the dispatch chunk_size, and the snapshots_identical"
                 f" flag; {v2_path} predates them)"
             )
+        elif {b_version, c_version} == {3, 4}:
+            v3_path = paths[0] if b_version == 3 else paths[1]
+            detail = (
+                f" (v4 replaces the op_cache counters with per-leg"
+                f" kernel_memo hits/misses, empties the kernel memo at"
+                f" the start of every leg, and records the host's"
+                f" cpu_count; {v3_path} predates them)"
+            )
         print(
             f"cannot compare: {paths[0]} has bench_schema_version"
             f" {b_version!r} but {paths[1]} has {c_version!r}{detail};"
@@ -858,8 +866,19 @@ BENCH_FIGURES = ("fig10c", "fig11", "fig12c")
 #: (the sub-trial memoization tier), the dispatch ``chunk_size``, and
 #: ``snapshots_identical`` -- every leg now collects ledger snapshots,
 #: so serial, parallel and warm runs do identical work and the recorded
-#: speedups compare like with like.
-BENCH_SCHEMA_VERSION = 3
+#: speedups compare like with like.  v4 drops ``op_cache`` (the op tier
+#: is gone), records per-leg ``kernel_memo`` hits/misses (every leg
+#: starts from an empty kernel memo, in the parent and in every pool
+#: worker) and the host's ``cpu_count``.
+BENCH_SCHEMA_VERSION = 4
+
+#: ``bench --gate`` slack: a leg fails when it is slower than the
+#: baseline's by more than this fraction plus :data:`BENCH_GATE_SLACK_S`.
+#: Repeated runs of one build on a shared 2-core host spread by about
+#: 10% (interquartile range over median), and legs of a few tens of
+#: milliseconds (fig11) jitter by more than that in absolute terms.
+BENCH_GATE_TOLERANCE = 0.25
+BENCH_GATE_SLACK_S = 0.05
 
 
 def _timed_run(run, quick, label, phases=False, log_path=None):
@@ -901,6 +920,34 @@ def _timed_run(run, quick, label, phases=False, log_path=None):
     return wall, report, json.dumps(sink.snapshots, sort_keys=True)
 
 
+def _slower_legs(name, row, baseline, jobs):
+    """Gate failures of one bench figure row against a baseline bench
+    document (any schema version): a serial or parallel leg slower
+    than the baseline's beyond :data:`BENCH_GATE_TOLERANCE` and
+    :data:`BENCH_GATE_SLACK_S`.  Parallel legs compare only at the
+    baseline's ``--jobs``."""
+    base = baseline.get("figures", {}).get(name)
+    if base is None:
+        return [f"{name}: not in the baseline bench file"]
+    legs = ["serial_s"]
+    failures = []
+    if baseline.get("jobs") == jobs:
+        legs.append("parallel_s")
+    else:
+        failures.append(
+            f"{name}: the baseline's parallel leg ran --jobs"
+            f" {baseline.get('jobs')}, this one --jobs {jobs}"
+        )
+    for leg in legs:
+        limit = base[leg] * (1 + BENCH_GATE_TOLERANCE) + BENCH_GATE_SLACK_S
+        if row[leg] > limit:
+            failures.append(
+                f"{name}: {leg} {row[leg]:.2f}s is slower than the"
+                f" baseline's {base[leg]:.2f}s (limit {limit:.2f}s)"
+            )
+    return failures
+
+
 def _bench_main(argv):
     """``python -m repro.harness bench`` entry point.
 
@@ -908,13 +955,15 @@ def _bench_main(argv):
     run, one parallel warm-cache run.  Writes wall-clock seconds and
     per-phase cache counters to ``BENCH_harness.json`` -- the harness's
     own perf trajectory, the way ``benchmarks/ledger/`` tracks the
-    simulated clusters'.  Every leg runs under a snapshot sink so all
-    three do identical work, and the figure row records whether their
-    snapshots were byte-identical.  ``--phases`` additionally
+    simulated clusters'.  Every leg runs under a snapshot sink and
+    starts from an empty kernel memo, so all three do identical work;
+    the figure row records whether their snapshots were byte-identical
+    and each leg's kernel-memo hits/misses.  ``--phases`` additionally
     decomposes each run's wall clock into executor phases and appends
-    the structured telemetry log; ``--gate`` turns a sub-1.0 speedup or
-    a snapshot mismatch into a non-zero exit (the CI parallel-harness
-    job runs this).
+    the structured telemetry log; ``--gate`` turns a snapshot mismatch,
+    or a serial or parallel leg slower than the same leg in the bench
+    file this run overwrites, into a non-zero exit (the CI
+    parallel-harness job runs this against the checked-in file).
     """
     import contextlib
     import os
@@ -945,9 +994,12 @@ def _bench_main(argv):
                         help="JSON-lines telemetry log written under"
                         " --phases (default BENCH_telemetry.jsonl)")
     parser.add_argument("--gate", action="store_true",
-                        help="exit non-zero if any figure's parallel"
-                        " speedup falls below 1.0 or its serial/"
-                        "parallel/warm snapshots are not byte-identical")
+                        help="exit non-zero if any figure's serial/"
+                        "parallel/warm snapshots are not byte-identical,"
+                        " or its serial or parallel leg is more than"
+                        f" {BENCH_GATE_TOLERANCE:.0%} +"
+                        f" {BENCH_GATE_SLACK_S}s slower than the same leg"
+                        " in the --out file as it was before this run")
     args = parser.parse_args(argv)
 
     names = args.figures or list(BENCH_FIGURES)
@@ -957,6 +1009,18 @@ def _bench_main(argv):
                 f"unknown experiment {name!r}; use --list to see choices"
             )
     quick = not args.full
+    cpu_count = os.cpu_count()
+    if cpu_count and args.jobs > cpu_count:
+        print(f"warning: --jobs {args.jobs} exceeds this host's"
+              f" {cpu_count} cores; the parallel legs are oversubscribed",
+              file=sys.stderr)
+    baseline = None
+    if args.gate:
+        try:
+            with open(args.out) as fh:
+                baseline = json.load(fh)
+        except (OSError, ValueError) as exc:
+            parser.error(f"--gate compares with the --out file: {exc}")
     log_path = args.telemetry_log if args.phases else None
     if log_path:
         # The recorder appends (one recording per run); start clean.
@@ -972,27 +1036,33 @@ def _bench_main(argv):
             cache_dir = tempfile.mkdtemp(prefix="repro-bench-cache-")
             try:
                 with contextlib.redirect_stdout(devnull):
+                    parallel_mod.reset_kernel_memo()
                     with configured(jobs=1, cache=None):
                         serial_s, serial_phases, serial_canon = _timed_run(
                             run, quick, f"{name}/serial",
                             phases=args.phases, log_path=log_path,
                         )
+                    serial_memo = parallel_mod.kernel_memo_counts()
 
                     cold = TrialCache(cache_dir)
                     parallel_mod.last_chunk_size = None
+                    parallel_mod.reset_kernel_memo()
                     with configured(jobs=args.jobs, cache=cold):
                         parallel_s, parallel_phases, cold_canon = _timed_run(
                             run, quick, f"{name}/parallel",
                             phases=args.phases, log_path=log_path,
                         )
                     chunk_size = parallel_mod.last_chunk_size
+                    parallel_memo = parallel_mod.kernel_memo_counts()
 
                     warm = TrialCache(cache_dir)
+                    parallel_mod.reset_kernel_memo()
                     with configured(jobs=args.jobs, cache=warm):
                         warm_s, warm_phases, warm_canon = _timed_run(
                             run, quick, f"{name}/warm",
                             phases=args.phases, log_path=log_path,
                         )
+                    warm_memo = parallel_mod.kernel_memo_counts()
             finally:
                 shutil.rmtree(cache_dir, ignore_errors=True)
             identical = serial_canon == cold_canon == warm_canon
@@ -1003,9 +1073,10 @@ def _bench_main(argv):
                 "jobs": args.jobs,
                 "cold_cache": cold.stats(),
                 "warm_cache": warm.stats(),
-                "op_cache": {
-                    "cold": cold.op_stats(),
-                    "warm": warm.op_stats(),
+                "kernel_memo": {
+                    "serial": serial_memo,
+                    "parallel": parallel_memo,
+                    "warm": warm_memo,
                 },
                 "chunk_size": chunk_size,
                 "snapshots_identical": identical,
@@ -1041,12 +1112,13 @@ def _bench_main(argv):
                 gate_failures.append(
                     f"{name}: serial/parallel/warm snapshots differ"
                 )
-            if row["speedup"] is not None and row["speedup"] < 1.0:
-                gate_failures.append(
-                    f"{name}: parallel speedup {row['speedup']} < 1.0"
+            if baseline is not None:
+                gate_failures.extend(
+                    _slower_legs(name, row, baseline, args.jobs)
                 )
     document = {
         "bench_schema_version": BENCH_SCHEMA_VERSION,
+        "cpu_count": cpu_count,
         "quick": quick,
         "jobs": args.jobs,
         "figures": results,

@@ -31,18 +31,13 @@ import multiprocessing
 import os
 import time
 import traceback
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict
 
+from repro.algorithms.memo import MEMO
 from repro.cluster.costs import CostModel
 from repro.harness import runner
-from repro.harness.cache import (
-    TrialCache,
-    cache_key,
-    decode_payload,
-    encode_payload,
-)
-from repro.harness.memo import MaterializeMemo
+from repro.harness.cache import cache_key, decode_payload, encode_payload
 from repro.obs import telemetry
 
 #: Registered trial functions: name -> callable returning one row dict.
@@ -219,25 +214,18 @@ def _snapshot_cluster(cluster):
 
 
 def _execute_trial(fn_name, kwargs, cost_constants, want_snapshots,
-                   timings=None, cache=None):
+                   timings=None):
     """Run one trial in the current process; returns its payload.
 
     ``timings``, when given, receives wall-clock seconds for the trial
     body (``worker-exec``) and the snapshot extraction
     (``snapshot-serialize``) -- the worker-side half of the harness
     self-telemetry.  Timing never touches the payload itself.
-
-    ``cache`` (a :class:`TrialCache`) enables sub-trial memoization:
-    a :class:`MaterializeMemo` bound to its op tier is installed on
-    every cluster the trial builds.
     """
     fn = TRIAL_FNS[fn_name]
     clusters = []
-    memo_ctx = nullcontext()
-    if cache is not None:
-        memo_ctx = runner.materialize_memo(MaterializeMemo(cache))
     start = time.perf_counter()
-    with memo_ctx, runner.observe_clusters(clusters.append):
+    with runner.observe_clusters(clusters.append):
         if cost_constants is None:
             row = fn(**kwargs)
         else:
@@ -266,7 +254,7 @@ def _worker_init():
     telemetry.clear_recorder()
 
 
-def _run_one(args, cache):
+def _run_one(args):
     """Worker-side single trial: compact payload + telemetry sidecar.
 
     Failures are captured, not raised: the chunk's surviving trials
@@ -288,7 +276,7 @@ def _run_one(args, cache):
         profiler.enable()
     try:
         payload = _execute_trial(fn_name, kwargs, cost_constants, True,
-                                 timings=timings, cache=cache)
+                                 timings=timings)
         start = time.perf_counter()
         blob = encode_payload(payload)
         timings["snapshot-serialize"] = (
@@ -319,21 +307,24 @@ def _run_one(args, cache):
 def _pool_entry(chunk):
     """Worker-side entry: one chunk of trials -> list of results.
 
-    ``chunk`` is ``(cache_root, [(fn, kwargs, cost_constants), ...])``.
-    Each result carries the op-tier cache counters the chunk's memo
-    accumulated, which the parent folds back into its own handle.
+    ``chunk`` is ``(memo_generation, [(fn, kwargs, cost_constants),
+    ...])``.  A generation this worker has not seen yet (see
+    :func:`reset_kernel_memo`) empties its kernel memo first.  Each
+    result carries the kernel-memo hits and misses of its trial, which
+    the parent adds to :func:`kernel_memo_counts`.
     """
-    cache_root, items = chunk
-    cache = TrialCache(cache_root) if cache_root is not None else None
+    global _memo_generation
+    generation, items = chunk
+    if generation != _memo_generation:
+        MEMO.clear()
+        _memo_generation = generation
     results = []
     for args in items:
-        before = cache.op_stats() if cache is not None else None
-        result = _run_one(args, cache)
-        if cache is not None:
-            after = cache.op_stats()
-            result["op_cache"] = {
-                name: after[name] - before[name] for name in after
-            }
+        hits, misses = MEMO.hits, MEMO.misses
+        result = _run_one(args)
+        result["kernel_memo"] = {
+            "hits": MEMO.hits - hits, "misses": MEMO.misses - misses,
+        }
         results.append(result)
     return results
 
@@ -343,6 +334,43 @@ def _pool_context():
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"
     )
+
+
+# ----------------------------------------------------------------------
+# The kernel memo across the pool
+# ----------------------------------------------------------------------
+
+#: Generation of the kernel memo (``repro.algorithms.memo.MEMO``).
+#: Every chunk carries the parent's value; a worker holding another
+#: value empties its own memo first, so :func:`reset_kernel_memo`
+#: reaches warm workers forked before the reset.
+_memo_generation = 0
+
+#: Kernel-memo hits and misses pool workers reported since the last
+#: :func:`reset_kernel_memo`.
+_pooled_memo = {"hits": 0, "misses": 0}
+
+
+def reset_kernel_memo():
+    """Empty the kernel memo in this process now and in every pool
+    worker before its next chunk, and zero :func:`kernel_memo_counts`.
+
+    The self-benchmark calls this at the start of every leg, so a leg
+    never reuses kernel results computed by an earlier one.
+    """
+    global _memo_generation
+    MEMO.clear()
+    _memo_generation += 1
+    _pooled_memo.update(hits=0, misses=0)
+
+
+def kernel_memo_counts():
+    """Kernel-memo ``{"hits", "misses"}`` since the last reset, summed
+    over this process and the pool workers."""
+    return {
+        "hits": MEMO.hits + _pooled_memo["hits"],
+        "misses": MEMO.misses + _pooled_memo["misses"],
+    }
 
 
 # ----------------------------------------------------------------------
@@ -431,8 +459,7 @@ def run_grid(specs, jobs=None, cache=_UNSET, cost_model=None):
 
     Payloads are ``{"row": <row dict>[, "snapshots": [...]]}``.  Rows
     and snapshots are identical whether trials ran inline, across the
-    warm pool in chunks, were replayed from the trial cache, or were
-    recomputed through op-level memo replay; active
+    warm pool in chunks, or were replayed from the trial cache; active
     :func:`collecting_snapshots` sinks receive every snapshot in
     submission order.
 
@@ -479,13 +506,12 @@ def run_grid(specs, jobs=None, cache=_UNSET, cost_model=None):
     if pending and use_pool:
         n_procs = min(jobs, len(pending))
         pool = _ensure_pool(n_procs)
-        cache_root = cache.root if cache is not None else None
         size = _chunk_size(len(pending), n_procs)
         last_chunk_size = size
         rec.gauge("pool.chunk_size", size)
         work = [
             (
-                cache_root,
+                _memo_generation,
                 [
                     (specs[i].fn, specs[i].kwargs, cost_constants)
                     for i in pending[lo:lo + size]
@@ -509,11 +535,8 @@ def run_grid(specs, jobs=None, cache=_UNSET, cost_model=None):
                     rec.observe(f"worker.{name}_s", seconds)
                 if "worker-exec" in worker:
                     _note_trial_cost(specs[i].fn, worker["worker-exec"])
-                op_cache = wrapped.get("op_cache")
-                if op_cache is not None and cache is not None:
-                    cache.op_hits += op_cache["hits"]
-                    cache.op_misses += op_cache["misses"]
-                    cache.op_stores += op_cache["stores"]
+                for name, count in wrapped["kernel_memo"].items():
+                    _pooled_memo[name] += count
                 if "error" in wrapped:
                     failures.append((i, specs[i].fn, wrapped["error"]))
                     continue
@@ -537,7 +560,7 @@ def run_grid(specs, jobs=None, cache=_UNSET, cost_model=None):
                 try:
                     payloads[i] = _execute_trial(
                         specs[i].fn, specs[i].kwargs, cost_constants,
-                        want_snapshots, timings=timings, cache=cache,
+                        want_snapshots, timings=timings,
                     )
                 except Exception as exc:  # noqa: BLE001 - merged below
                     failures.append((i, specs[i].fn, {

@@ -138,3 +138,48 @@ def test_noise_robustness(gtab, rng):
     evals = fit_dtm(noisy.reshape(1, 1, 1, -1), gtab)[0, 0, 0]
     fa = fractional_anisotropy(evals[None, :])[0]
     assert 0.6 < fa <= 1.0
+
+
+
+@pytest.fixture(scope="module")
+def singular_signals():
+    """Denoised in-mask signals of a quick-profile subject in which one
+    voxel's WLS system is exactly singular."""
+    from repro.data import generate_subject
+    from repro.pipelines.neuro.reference import compute_mask, denoise_subject
+
+    subject = generate_subject("subj000", seed=1000, scale=20, n_volumes=24)
+    mask = compute_mask(subject)
+    return denoise_subject(subject, mask)[mask], subject.gtab
+
+
+def test_singular_voxel_falls_back_alone(singular_signals, monkeypatch):
+    """A singular voxel keeps its OLS fit without dragging the rest of
+    its batch to OLS: every other voxel fits exactly as it does in a
+    batch without the singular one."""
+    from repro.algorithms.dtm import _wls_tensors
+
+    signals, gtab = singular_signals
+    raised = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            raised.append(a.shape)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    singular = []
+    for v in range(len(signals)):
+        before = len(raised)
+        _wls_tensors(signals[v:v + 1], gtab)
+        if len(raised) > before:
+            singular.append(v)
+    assert singular, "the subject has no singular voxel"
+    healthy = np.setdiff1d(np.arange(len(signals)), singular)
+    del raised[:]
+    clean = _wls_tensors(signals[healthy], gtab)
+    assert not raised
+    assert np.array_equal(_wls_tensors(signals, gtab)[healthy], clean)

@@ -8,11 +8,8 @@ task ids within one cluster, so per-process task-counter offsets
 cannot leak into results.
 """
 
-import glob
 import json
 import os
-import shutil
-import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -160,40 +157,6 @@ class TestDeterminism:
             parallel.AUTO_SERIAL_THRESHOLD_S = threshold
         assert _canon(serial) == _canon(pooled)
         assert _canon(serial_sink.snapshots) == _canon(pooled_sink.snapshots)
-
-    @settings(max_examples=3, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(data=st.data())
-    def test_random_grid_op_memo_replay_is_byte_identical(self, data):
-        """Delete the trial tier but keep the op tier: every trial
-        recomputes, materialized sub-DAGs replay from the op cache, and
-        rows + snapshots stay byte-identical to an uncached serial run.
-        """
-        pool = _random_pool()
-        indices = data.draw(
-            st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=3)
-        )
-        specs = [pool[i] for i in indices]
-        with collecting_snapshots() as serial_sink:
-            serial = run_grid(specs, jobs=1, cache=None)
-        root = tempfile.mkdtemp()
-        try:
-            run_grid(specs, jobs=1, cache=TrialCache(root))
-            # Trial tier only -- op entries live under <root>/op/ as
-            # .pkz and survive.
-            for path in glob.glob(os.path.join(root, "*", "*.jz")):
-                os.unlink(path)
-            replay_cache = TrialCache(root)
-            with collecting_snapshots() as replay_sink:
-                replayed = run_grid(specs, jobs=1, cache=replay_cache)
-            assert replay_cache.hits == 0
-            assert _canon(replayed) == _canon(serial)
-            assert _canon(replay_sink.snapshots) == _canon(
-                serial_sink.snapshots
-            )
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-
 
 class TestSnapshotSinks:
     def test_no_snapshots_computed_without_consumer(self):
@@ -345,11 +308,12 @@ class TestBenchCli:
         out = tmp_path / "bench.json"
         assert _bench_main(["fig10c", "--jobs", "1", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["bench_schema_version"] == 3
+        assert doc["bench_schema_version"] == 4
         assert doc["quick"] is True
+        assert doc["cpu_count"] == os.cpu_count()
         fig = doc["figures"]["fig10c"]
         for key in ("serial_s", "parallel_s", "warm_s", "jobs",
-                    "cold_cache", "warm_cache", "op_cache", "chunk_size",
+                    "cold_cache", "warm_cache", "kernel_memo", "chunk_size",
                     "snapshots_identical", "speedup", "warm_over_cold"):
             assert key in fig
         # The cold run populates the cache (all misses); the warm run
@@ -358,10 +322,15 @@ class TestBenchCli:
         assert fig["cold_cache"]["misses"] > 0
         assert fig["warm_cache"]["hits"] == fig["cold_cache"]["misses"]
         assert fig["warm_cache"]["misses"] == 0
-        # v3: the op tier records during the cold leg, and every leg's
-        # snapshots were byte-identical.  --jobs 1 never pools, so the
-        # dispatch chunk size is null.
-        assert fig["op_cache"]["cold"]["stores"] > 0
+        # v4: every leg starts from an empty kernel memo, so the serial
+        # and cold legs denoise the same distinct volumes (same misses)
+        # and the warm leg replays the trial cache without a kernel
+        # call.  Every leg's snapshots were byte-identical.  --jobs 1
+        # never pools, so the dispatch chunk size is null.
+        memo = fig["kernel_memo"]
+        assert memo["serial"]["misses"] > 0
+        assert memo["parallel"] == memo["serial"]
+        assert memo["warm"] == {"hits": 0, "misses": 0}
         assert fig["snapshots_identical"] is True
         assert fig["chunk_size"] is None
         capsys.readouterr()
@@ -406,25 +375,85 @@ class TestBenchCli:
         assert "bench_schema_version" in err
         assert "op_cache" in err  # names what v3 added
 
-    def test_bench_gate_flags_sub_unity_speedup(self, tmp_path, capsys,
-                                                monkeypatch):
+    def test_compare_v3_v4_schema_diagnostic(self, tmp_path, capsys):
+        from repro.harness.__main__ import _compare_main
+
+        old = tmp_path / "old.json"
+        new = tmp_path / "new.json"
+        old.write_text(json.dumps(
+            {"bench_schema_version": 3, "figures": {}}
+        ))
+        new.write_text(json.dumps(
+            {"bench_schema_version": 4, "figures": {}}
+        ))
+        assert _compare_main([str(old), str(new)]) == 2
+        err = capsys.readouterr().err
+        assert "kernel_memo" in err  # names what v4 added
+        assert str(old) in err  # and which file predates it
+
+    @staticmethod
+    def _baseline(tmp_path, serial_s, parallel_s, jobs=1):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({
+            "bench_schema_version": 3, "jobs": jobs,
+            "figures": {"fig11": {"serial_s": serial_s,
+                                  "parallel_s": parallel_s}},
+        }))
+        return str(path)
+
+    def _gated(self, tmp_path, monkeypatch, walls, baseline):
         from repro.harness import __main__ as cli
 
+        monkeypatch.undo()  # an earlier call's stub
         real_timed_run = cli._timed_run
-        walls = iter([0.1, 0.5, 0.01])  # serial, parallel, warm
+        walls = iter(walls)  # serial, parallel, warm
 
-        def slow_parallel(run, quick, label, phases=False, log_path=None):
+        def timed(run, quick, label, phases=False, log_path=None):
             _wall, report, canon = real_timed_run(
                 run, quick, label, phases=phases, log_path=log_path
             )
             return next(walls), report, canon
 
-        monkeypatch.setattr(cli, "_timed_run", slow_parallel)
-        out = tmp_path / "bench.json"
-        assert cli._bench_main(
-            ["fig11", "--jobs", "1", "--out", str(out), "--gate"]
+        monkeypatch.setattr(cli, "_timed_run", timed)
+        return cli._bench_main(
+            ["fig11", "--jobs", "1", "--out", baseline, "--gate"]
+        )
+
+    def test_bench_gate_flags_a_leg_slower_than_baseline(
+            self, tmp_path, capsys, monkeypatch):
+        # A parallel leg slower than serial is fine (the serial leg
+        # shares kernel results across all trials); a parallel leg
+        # slower than the baseline's parallel leg is not.
+        baseline = self._baseline(tmp_path, serial_s=1.0, parallel_s=0.2)
+        assert self._gated(
+            tmp_path, monkeypatch, [0.1, 0.5, 0.01], baseline
         ) == 1
-        assert "speedup" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "fig11: parallel_s 0.50s is slower" in err
+        assert "serial_s" not in err
+        # The same walls pass against a slower baseline.
+        baseline = self._baseline(tmp_path, serial_s=1.0, parallel_s=1.0)
+        assert self._gated(
+            tmp_path, monkeypatch, [0.1, 0.5, 0.01], baseline
+        ) == 0
+
+    def test_bench_gate_needs_matching_jobs(self, tmp_path, capsys,
+                                           monkeypatch):
+        baseline = self._baseline(tmp_path, 1.0, 1.0, jobs=4)
+        assert self._gated(
+            tmp_path, monkeypatch, [0.1, 0.1, 0.01], baseline
+        ) == 1
+        assert "--jobs 4" in capsys.readouterr().err
+
+    def test_bench_warns_when_jobs_exceed_cores(self, tmp_path, capsys,
+                                                monkeypatch):
+        from repro.harness import __main__ as cli
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        out = tmp_path / "bench.json"
+        assert cli._bench_main(["fig11", "--jobs", "2", "--out", str(out)]) == 0
+        assert "exceeds this host's 1 cores" in capsys.readouterr().err
+        assert json.loads(out.read_text())["cpu_count"] == 1
 
 
 class TestTelemetry:
@@ -552,6 +581,42 @@ class TestWarmPool:
         assert parallel._pool_state["procs"] == 0
 
 
+class TestKernelMemoReset:
+    """Bench legs start cold: a reset empties the kernel memo here and
+    in every warm pool worker before its next chunk."""
+
+    def test_new_generation_empties_a_worker_memo(self, monkeypatch):
+        spec = _tiny_specs(include_fault_trial=False, engines=("spark",))[0]
+        items = [(spec.fn, spec.kwargs, None)]
+        parallel.reset_kernel_memo()
+        generation = parallel._memo_generation
+        # Run the worker entry in-process, as a worker would.
+        monkeypatch.setattr(parallel, "_memo_generation", generation)
+        [cold] = parallel._pool_entry((generation, items))
+        [again] = parallel._pool_entry((generation, items))
+        [reset] = parallel._pool_entry((generation + 1, items))
+        calls = cold["kernel_memo"]["hits"] + cold["kernel_memo"]["misses"]
+        assert cold["kernel_memo"]["misses"] > 0
+        assert again["kernel_memo"] == {"hits": calls, "misses": 0}
+        assert reset["kernel_memo"] == cold["kernel_memo"]
+
+    def test_pooled_counts_sum_over_workers(self, monkeypatch):
+        monkeypatch.setattr(parallel, "AUTO_SERIAL_THRESHOLD_S", 0.0)
+        specs = _tiny_specs(include_fault_trial=False)
+        parallel.reset_kernel_memo()
+        run_grid(specs, jobs=1, cache=None)
+        inline = parallel.kernel_memo_counts()
+        run_grid(specs, jobs=2, cache=None)  # warm the workers' memos
+        parallel.reset_kernel_memo()
+        assert parallel.kernel_memo_counts() == {"hits": 0, "misses": 0}
+        run_grid(specs, jobs=2, cache=None)
+        pooled = parallel.kernel_memo_counts()
+        # Every kernel call is counted once, wherever it ran, and the
+        # reset reached the workers: some calls missed again.
+        assert sum(pooled.values()) == sum(inline.values())
+        assert pooled["misses"] >= inline["misses"] > 0
+
+
 class TestAutoSerial:
     """Grids cheaper than the dispatch overhead never touch the pool."""
 
@@ -627,65 +692,6 @@ class TestFailurePropagation:
         self._check(1, monkeypatch)
 
 
-class TestOpMemo:
-    """Sub-trial memoization: trials sharing a logical plan prefix
-    replay the shared materialized sub-DAGs from the op tier."""
-
-    def test_prefix_sharing_trials_record_op_hits(self, tmp_path):
-        # fig10c and f16 both run the spark neuro pipeline over the same
-        # staged subjects; f16's baseline leg shares the final
-        # materialize ("fa") with fig10c's trial.
-        specs = [
-            TrialSpec(
-                "fig10c",
-                {"kind": "spark", "count": 1, "n_nodes": 4,
-                 "profile": dict(TINY_NEURO)},
-                engine="spark",
-            ),
-            TrialSpec(
-                "f16",
-                {"kind": "spark", "n_subjects": 1, "n_nodes": 4,
-                 "profile": dict(TINY_NEURO), "restart_after_s": 18.0,
-                 "seed": 16},
-                engine="spark",
-                faults={"crash": "last-node@50%-progress", "seed": 16},
-            ),
-        ]
-        with collecting_snapshots() as ref_sink:
-            reference = run_grid(specs, jobs=1, cache=None)
-        cache = TrialCache(str(tmp_path / "cache"))
-        with collecting_snapshots() as memo_sink:
-            memoized = run_grid(specs, jobs=1, cache=cache)
-        stats = cache.op_stats()
-        assert stats["stores"] > 0
-        assert stats["hits"] > 0, (
-            "f16's baseline leg shares a plan prefix with fig10c but "
-            "recorded no op-cache hits"
-        )
-        # Memo replay never changes results.
-        assert _canon(memoized) == _canon(reference)
-        assert _canon(memo_sink.snapshots) == _canon(ref_sink.snapshots)
-
-    def test_faulted_trials_never_touch_the_op_tier(self, tmp_path):
-        spec = _tiny_specs()[-1]  # f16 under an active FaultPlan
-        cache = TrialCache(str(tmp_path / "cache"))
-        run_grid([spec], jobs=1, cache=cache)
-        # The baseline leg records windows; replaying the whole trial
-        # under the same key must not have polluted the op tier with
-        # entries from the faulty leg (whose task stream depends on the
-        # fault plan).  Re-running with a fresh handle replays the
-        # baseline windows and recomputes the faulty leg live.
-        replay = TrialCache(str(tmp_path / "cache"))
-        for path in glob.glob(
-            os.path.join(str(tmp_path / "cache"), "*", "*.jz")
-        ):
-            os.unlink(path)
-        with collecting_snapshots() as sink:
-            run_grid([spec], jobs=1, cache=replay)
-        assert replay.hits == 0
-        assert len(sink.snapshots) == 2
-
-
 class TestCacheStore:
     def test_roundtrip_and_stats(self, tmp_path):
         cache = TrialCache(str(tmp_path))
@@ -719,16 +725,6 @@ class TestCacheStore:
         assert not os.path.exists(path)  # evicted
         cache.put("b" * 64, payload)  # the slot is reusable
         assert cache.get("b" * 64) == payload
-
-    def test_truncated_op_entry_is_evicted(self, tmp_path):
-        cache = TrialCache(str(tmp_path))
-        entries = [("task-0", b"value", 0.25, 128, {"tasks_run": 1})]
-        cache.put_op("c" * 64, entries)
-        path = cache._op_path("c" * 64)
-        self._truncate(path)
-        assert cache.get_op("c" * 64) is None
-        assert not os.path.exists(path)
-        assert cache.op_stats() == {"hits": 0, "misses": 1, "stores": 1}
 
     def test_truncation_mid_payload_recomputes_identically(self, tmp_path):
         """End to end: a cache file truncated mid-payload (torn write,

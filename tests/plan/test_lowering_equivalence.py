@@ -96,6 +96,27 @@ def test_neuro_lowering_matches_reference(kind, tiny_subjects, neuro_ref):
         assert np.allclose(fa[s.subject_id].array, ref_fa, atol=1e-10)
 
 
+@pytest.fixture(scope="module")
+def singular_subject():
+    """A quick-profile subject whose whole-volume fit hits a singular
+    WLS system: block-wise and whole-volume fits agree only if
+    ``fit_dtm`` falls back to OLS per voxel, not per batch."""
+    from repro.data import generate_subject
+    from repro.harness.__main__ import QUICK_NEURO
+
+    subject = generate_subject("subj000", seed=1000, **QUICK_NEURO)
+    return subject, neuro_reference(subject)
+
+
+@pytest.mark.parametrize("kind", ["spark", "myria", "dask"])
+def test_neuro_lowering_fa_equals_reference_on_singular_voxels(
+        kind, singular_subject):
+    subject, (ref_mask, _denoised, ref_fa) = singular_subject
+    _, masks, fa = _run_neuro(kind, [subject])
+    assert np.array_equal(masks[subject.subject_id], ref_mask)
+    assert np.array_equal(fa[subject.subject_id].array, ref_fa)
+
+
 @pytest.mark.parametrize("kind", ["spark", "myria", "dask"])
 def test_astro_lowering_matches_reference(kind, tiny_visits, astro_ref):
     _, coadds, sources = _run_astro(kind, tiny_visits)
