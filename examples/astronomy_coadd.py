@@ -22,7 +22,10 @@ from repro.data import generate_visit
 from repro.engines.myria import MyriaConnection
 from repro.engines.scidb import SciDBConnection
 from repro.engines.spark import SparkContext
-from repro.pipelines.astro import on_myria, on_scidb, on_spark, run_reference
+from repro.engines.myria.lowering import astro as astro_myria
+from repro.engines.scidb.lowering import astro as astro_scidb
+from repro.engines.spark.lowering import astro as astro_spark
+from repro.pipelines.astro import run_reference
 from repro.pipelines.astro.staging import stage_visits
 
 N_VISITS = 12
@@ -54,7 +57,7 @@ def main():
     cluster = SimulatedCluster(ClusterSpec(n_nodes=4))
     sc = SparkContext(cluster)
     stage_visits(cluster.object_store, visits)
-    coadds, sources = on_spark.run(sc, visits, input_partitions=32)
+    coadds, sources = astro_spark.run(sc, visits, input_partitions=32)
     ok = all(
         np.allclose(np.nan_to_num(coadds[p].array),
                     np.nan_to_num(ref_coadds[p].array), atol=1e-6)
@@ -68,7 +71,7 @@ def main():
     )
     conn = MyriaConnection(cluster)
     stage_visits(cluster.object_store, visits)
-    coadds, sources = on_myria.run(conn, visits, mode="materialized", source="s3")
+    coadds, sources = astro_myria.run(conn, visits, mode="materialized", source="s3")
     ok = all(
         np.allclose(np.nan_to_num(coadds[p].array),
                     np.nan_to_num(ref_coadds[p].array), atol=1e-6)
@@ -82,9 +85,9 @@ def main():
             ClusterSpec(n_nodes=4, workers_per_node=4, slots_per_worker=1)
         )
         sdb = SciDBConnection(cluster)
-        array = on_scidb.ingest(sdb, visits, chunk=chunk)
+        array = astro_scidb.ingest(sdb, visits, chunk=chunk)
         start = cluster.now
-        on_scidb.coadd_step(sdb, array)
+        astro_scidb.coadd_step(sdb, array)
         print(f"  chunk [{chunk}x{chunk}]: {cluster.now - start:8.1f} s")
 
     print("\nIncremental-iteration ablation on Step 3-A (Section 5.2.4):")
@@ -94,9 +97,9 @@ def main():
             ClusterSpec(n_nodes=4, workers_per_node=4, slots_per_worker=1)
         )
         sdb = SciDBConnection(cluster)
-        array = on_scidb.ingest(sdb, visits)
+        array = astro_scidb.ingest(sdb, visits)
         start = cluster.now
-        on_scidb.coadd_step(sdb, array, incremental=incremental)
+        astro_scidb.coadd_step(sdb, array, incremental=incremental)
         timings[incremental] = cluster.now - start
         label = "incremental [34]" if incremental else "stock AQL"
         print(f"  {label:<18}: {timings[incremental]:8.1f} s")

@@ -22,14 +22,12 @@ from repro.engines.myria import MyriaConnection
 from repro.engines.scidb import SciDBConnection
 from repro.engines.spark import SparkContext
 from repro.engines.tensorflow import Session as TfSession
-from repro.pipelines.neuro import (
-    on_dask,
-    on_myria,
-    on_scidb,
-    on_spark,
-    on_tensorflow,
-    run_reference,
-)
+from repro.engines.dask.lowering import neuro as neuro_dask
+from repro.engines.myria.lowering import neuro as neuro_myria
+from repro.engines.scidb.lowering import neuro as neuro_scidb
+from repro.engines.spark.lowering import neuro as neuro_spark
+from repro.engines.tensorflow.lowering import neuro as neuro_tf
+from repro.pipelines.neuro import run_reference
 from repro.pipelines.neuro.staging import stage_subjects
 
 N_NODES = 4
@@ -53,7 +51,7 @@ def main():
     cluster = SimulatedCluster(ClusterSpec(n_nodes=N_NODES))
     sc = SparkContext(cluster)
     stage_subjects(cluster.object_store, [subject])
-    _masks, fa = on_spark.run(sc, [subject], input_partitions=16)
+    _masks, fa = neuro_spark.run(sc, [subject], input_partitions=16)
     ok = np.allclose(fa["study"].array, ref_fa, atol=1e-10)
     results.append(("Spark", "full", cluster.now, ok))
     print(f"simulated {cluster.now:.1f} s, FA matches reference: {ok}")
@@ -64,7 +62,7 @@ def main():
     )
     conn = MyriaConnection(cluster)
     stage_subjects(cluster.object_store, [subject])
-    _masks, fa = on_myria.run(conn, [subject], source="s3")
+    _masks, fa = neuro_myria.run(conn, [subject], source="s3")
     ok = np.allclose(fa["study"].array, ref_fa, atol=1e-10)
     results.append(("Myria", "full", cluster.now, ok))
     print(f"simulated {cluster.now:.1f} s, FA matches reference: {ok}")
@@ -73,7 +71,7 @@ def main():
     cluster = SimulatedCluster(ClusterSpec(n_nodes=N_NODES))
     client = DaskClient(cluster)
     stage_subjects(cluster.object_store, [subject])
-    _masks, fa = on_dask.run(client, [subject])
+    _masks, fa = neuro_dask.run(client, [subject])
     ok = np.allclose(fa["study"].array, ref_fa, atol=1e-10)
     results.append(("Dask", "full", cluster.now, ok))
     print(f"simulated {cluster.now:.1f} s, FA matches reference: {ok},"
@@ -84,25 +82,25 @@ def main():
         ClusterSpec(n_nodes=N_NODES, workers_per_node=4, slots_per_worker=1)
     )
     sdb = SciDBConnection(cluster)
-    mask, denoised = on_scidb.run(sdb, subject, ingest_method="aio")
+    mask, denoised = neuro_scidb.run(sdb, subject, ingest_method="aio")
     ok = np.array_equal(mask, ref_mask)
     results.append(("SciDB", "partial", cluster.now, ok))
     print(f"simulated {cluster.now:.1f} s, mask matches reference: {ok}")
     try:
-        on_scidb.fit_step()
+        neuro_scidb.fit_step()
     except NotImplementedError as exc:
         print(f"model fitting: NA ({exc})")
 
     banner("TensorFlow (rewritten segmentation + conv denoise; fitting NA)")
     cluster = SimulatedCluster(ClusterSpec(n_nodes=N_NODES))
     session = TfSession(cluster)
-    mask, denoised = on_tensorflow.run(session, subject)
+    mask, denoised = neuro_tf.run(session, subject)
     overlap = (mask & ref_mask).sum() / ref_mask.sum()
     results.append(("TensorFlow", "partial", cluster.now, overlap > 0.8))
     print(f"simulated {cluster.now:.1f} s,"
           f" simplified mask overlap with reference: {overlap:.0%}")
     try:
-        on_tensorflow.fit_step()
+        neuro_tf.fit_step()
     except NotImplementedError as exc:
         print(f"model fitting: NA ({exc})")
 

@@ -19,7 +19,7 @@ from repro.engines.base import udf
 from repro.engines.myria import MyriaConnection, MyriaQuery, Relation
 from repro.engines.scidb import SciDBConnection
 from repro.engines.scidb.afl import execute as afl
-from repro.pipelines.neuro.on_scidb import ingest as scidb_ingest
+from repro.engines.scidb.lowering.neuro import ingest as scidb_ingest
 
 
 def myrial_tour():

@@ -24,7 +24,7 @@ from repro.harness.experiments import run_neuro_end_to_end
 from repro.harness.report import print_breakdown
 from repro.harness.runner import fresh_engine, observe_clusters, Stopwatch
 from repro.obs import ClusterMetrics, write_chrome_trace
-from repro.pipelines.astro import on_myria as astro_myria
+from repro.engines.myria.lowering import astro as astro_myria
 from repro.pipelines.astro.staging import stage_visits
 
 N_NODES = 8

@@ -39,6 +39,7 @@ non-zero when the candidate regressed past the tolerance.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -329,8 +330,6 @@ EXPERIMENTS = {
 
 def _trace_main(argv):
     """``python -m repro.harness trace <experiment>`` entry point."""
-    import contextlib
-
     from repro.obs import (
         ClusterMetrics,
         compute_critical_path,
@@ -443,64 +442,53 @@ def _trace_main(argv):
 
 
 def build_experiment_snapshot(name, quick=True):
-    """Run one experiment id and snapshot every cluster it builds.
+    """Run one experiment id and snapshot every cluster it builds."""
+    return _snapshot_with_rows(name, quick)[0]
 
-    Grid experiments report their runs through the trial executor's
-    snapshot sink (so they work at ``--jobs N`` and from the cache,
-    where the parent never holds the cluster objects); experiments not
-    yet routed through :func:`repro.harness.parallel.run_grid` fall
-    back to observing the clusters directly.
+
+def _snapshot_with_rows(name, quick):
+    """``(snapshot, rows)`` of one experiment run.
+
+    Every experiment runs its trials through
+    :func:`repro.harness.parallel.grid_rows`, so the trial executor's
+    snapshot sink sees every cluster (at ``--jobs N`` and from the
+    cache too, where the parent never holds the cluster objects).
+    ``rows`` is whatever the experiment's runner returned.
     """
-    from repro.obs import run_snapshot
-    from repro.obs.breakdown import records_of, summarize_records
     from repro.obs.ledger import experiment_snapshot
 
     if name not in EXPERIMENTS:
         raise KeyError(
             f"unknown experiment {name!r}; use --list to see choices"
         )
-    clusters = []
-    with observe_clusters(clusters.append), \
-            collecting_snapshots() as collected:
-        EXPERIMENTS[name](quick)
-    if collected.snapshots:
-        runs = []
-        for index, snapshot in enumerate(collected.snapshots):
-            snapshot = dict(snapshot)
-            snapshot["label"] = f"{index:02d}-{snapshot['label']}"
-            runs.append(snapshot)
-    else:
-        runs = []
-        for index, cluster in enumerate(clusters):
-            groups = summarize_records(records_of(cluster))
-            top_group = groups[0]["group"] if groups else "empty"
-            runs.append(
-                run_snapshot(cluster, label=f"{index:02d}-{top_group}")
-            )
+    with collecting_snapshots() as collected:
+        rows = EXPERIMENTS[name](quick)
+    runs = [dict(snapshot, label=f"{index:02d}-{snapshot['label']}")
+            for index, snapshot in enumerate(collected.snapshots)]
     scale = {
         "quick": bool(quick),
         "neuro_profile": QUICK_NEURO if quick else None,
         "astro_profile": QUICK_ASTRO if quick else None,
     }
-    return experiment_snapshot(name, runs, quick=quick, scale=scale)
+    return experiment_snapshot(name, runs, quick=quick, scale=scale), rows
 
 
 def _optimize_main(argv):
     """``python -m repro.harness optimize`` entry point.
 
     Explains the query compiler: per-(pipeline, engine) rule firing
-    traces with estimated savings, the cost table behind the router's
-    decision, and — with ``--check`` — an executed naive-vs-optimized
-    comparison of every cell that gates on the two invariants
-    (non-increasing makespan, byte-identical results).
+    traces, the measured makespans behind the router's decision, and —
+    with ``--check`` — an executed naive-vs-optimized comparison of
+    every cell that gates on the two invariants (non-increasing
+    makespan, byte-identical results).
     """
-    from repro.plan import astro_plan, choose_engine, neuro_plan, optimize_for
-    from repro.plan import route as R
+    from repro.plan import astro_plan, neuro_plan, optimize_for
+    from repro.plan.opt import FUSING_ENGINES
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness optimize",
         description="Explain the rewrite-rule optimizer and the"
-        " cost-based engine router; optionally verify both invariants"
+        " measured engine router; optionally verify both invariants"
         " by running every cell naive and optimized.",
     )
     parser.add_argument("--quick", action="store_true",
@@ -510,7 +498,8 @@ def _optimize_main(argv):
     parser.add_argument("--visits", type=int, default=None,
                         help="astro workload size (default 2 quick / 4)")
     parser.add_argument("--nodes", type=int, default=DEFAULT_NODES,
-                        help="cluster size the estimates assume")
+                        help="cluster size of the router's and --check's"
+                        " runs")
     parser.add_argument("--engines", default="dask,myria,spark",
                         help="comma-separated engines to trace/check")
     parser.add_argument("--check", action="store_true",
@@ -526,44 +515,40 @@ def _optimize_main(argv):
     n_subjects = args.subjects or (2 if args.quick else 4)
     n_visits = args.visits or (2 if args.quick else 4)
     engines = tuple(e.strip() for e in args.engines.split(",") if e.strip())
-    subjects = neuro_subjects(n_subjects,
-                              **(QUICK_NEURO if args.quick else {}))
-    visits = astro_visits(n_visits, **(QUICK_ASTRO if args.quick else {}))
-    workloads = (
-        ("neuro", neuro_plan(), R.neuro_profile(subjects)),
-        ("astro", astro_plan(), R.astro_profile(visits)),
-    )
+    profiles = {
+        "neuro_profile": QUICK_NEURO if args.quick else None,
+        "astro_profile": QUICK_ASTRO if args.quick else None,
+    }
 
-    print("Rule firing trace (per-engine calibrated cost guards)")
-    for pipeline, plan, prof in workloads:
+    print("Rule firing trace (fusion only where the lowering runs a"
+          " fused carrier as one task)")
+    for pipeline, plan in (("neuro", neuro_plan()), ("astro", astro_plan())):
         for engine in engines:
-            result = optimize_for(plan, engine, profile=prof)
-            naive_est = R.estimate_plan_cost(
-                plan, engine, profile=prof, n_nodes=args.nodes
-            ).total
-            opt_est = R.estimate_plan_cost(
-                result.plan, engine, profile=prof, n_nodes=args.nodes
-            ).total
-            print(f"  {pipeline}/{engine}: estimated {naive_est:.1f}s"
-                  f" -> {opt_est:.1f}s, {len(result.firings)} rewrite(s)"
-                  f" in {result.passes} pass(es)"
-                  f" [fingerprint {result.fingerprint()[:12]}]")
+            result = optimize_for(plan, engine)
+            print(f"  {pipeline}/{engine}: {len(result.firings)} rewrite(s)"
+                  f" in {result.passes} pass(es)")
             for firing in result.firings:
-                saving = (f", est. -{firing.saving:.3f}s"
-                          if firing.saving is not None else "")
                 print(f"    pass {firing.pass_no} {firing.rule}:"
-                      f" {firing.detail}{saving}")
-            if not result.firings:
-                print("    (no rewrites accepted: every candidate was"
-                      " cost-neutral or worse on this engine)")
+                      f" {firing.detail}")
+            if engine not in FUSING_ENGINES:
+                print("    (not fused: this engine's lowering already"
+                      " pipelines narrow ops)")
+            elif not result.firings:
+                print("    (no fusable narrow chain in this plan)")
 
-    print("\nRouter decisions (Table-1 constraints + cheapest estimate)")
-    for pipeline, plan, prof in workloads:
-        decision = choose_engine(plan, prof, n_nodes=args.nodes)
+    cache = None if args.no_cache else TrialCache()
+    print("\nRouter decisions (Table-1 constraints + measured makespan)")
+    with configured(jobs=1, cache=cache), \
+            contextlib.redirect_stdout(sys.stderr):
+        rows = E.routing_table(n_subjects=n_subjects, n_visits=n_visits,
+                               n_nodes=args.nodes, **profiles)
+    for pipeline in ("neuro", "astro"):
+        table = [row for row in rows if row["pipeline"] == pipeline]
+        chosen = next(row["engine"] for row in table if row.get("chosen"))
         print_table(
-            [dict({"pipeline": pipeline}, **row)
-             for row in decision.as_rows()],
-            title=f"{pipeline}: routed to {decision.engine}",
+            table,
+            columns=["pipeline", "engine", "makespan_s", "chosen", "refused"],
+            title=f"{pipeline}: routed to {chosen}",
         )
 
     if not args.check:
@@ -572,14 +557,11 @@ def _optimize_main(argv):
     from repro.obs import format_opt_comparison
     from repro.obs.ledger import experiment_snapshot
 
-    cache = None if args.no_cache else TrialCache()
     with configured(jobs=args.jobs, cache=cache), \
             collecting_snapshots() as collected:
         rows = E.opt_comparison(
             n_subjects=n_subjects, n_visits=n_visits, n_nodes=args.nodes,
-            neuro_profile=QUICK_NEURO if args.quick else None,
-            astro_profile=QUICK_ASTRO if args.quick else None,
-            engines=engines,
+            engines=engines, **profiles,
         )
     print()
     print_table(rows, title="Executed naive vs optimized (simulated s)")
@@ -598,7 +580,6 @@ def _optimize_main(argv):
 
 def _ledger_main(argv):
     """``python -m repro.harness ledger <experiment...>`` entry point."""
-    import contextlib
     import os
 
     from repro.obs.ledger import write_snapshot
@@ -649,7 +630,7 @@ def _ledger_main(argv):
     with configured(jobs=args.jobs, cache=cache):
         for name in names:
             with contextlib.redirect_stdout(sys.stderr):
-                snapshot = build_experiment_snapshot(name, quick=args.quick)
+                snapshot, rows = _snapshot_with_rows(name, args.quick)
             suffix = "-quick" if args.quick else ""
             path = os.path.join(args.out_dir, f"{name}{suffix}.json")
             write_snapshot(snapshot, path)
@@ -661,16 +642,8 @@ def _ledger_main(argv):
                 from repro.obs import format_opt_comparison
 
                 print(format_opt_comparison(snapshot))
-                # Replays from the trial cache the figure just filled;
-                # the rows carry the per-cell digests the byte-identity
+                # The rows carry the per-cell digests the byte-identity
                 # gate needs (snapshots only record makespans).
-                with contextlib.redirect_stdout(sys.stderr):
-                    rows = E.opt_comparison(
-                        n_subjects=2 if args.quick else 4,
-                        n_visits=2 if args.quick else 4,
-                        neuro_profile=QUICK_NEURO if args.quick else None,
-                        astro_profile=QUICK_ASTRO if args.quick else None,
-                    )
                 failures.extend(_opt_failures(rows))
     if cache is not None and (cache.hits or cache.misses):
         print(f"trial cache: {cache.hits} hit(s), {cache.misses} miss(es)",
@@ -965,7 +938,6 @@ def _bench_main(argv):
     file this run overwrites, into a non-zero exit (the CI
     parallel-harness job runs this against the checked-in file).
     """
-    import contextlib
     import os
     import shutil
     import tempfile
@@ -1168,9 +1140,9 @@ def main(argv=None):
                         " fig10c, fig10d; results stay byte-identical and"
                         " cache entries are separately keyed)")
     parser.add_argument("--route", choices=("auto",), default=None,
-                        help="'auto' resolves each end-to-end cell's engine"
-                        " through the cost-based router instead of the"
-                        " figure's fixed engine list")
+                        help="'auto' runs each end-to-end cell on every"
+                        " Table-1-capable engine and keeps the fastest"
+                        " instead of the figure's fixed engine list")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for independent trials"
                         " (results are byte-identical to --jobs 1)")

@@ -90,15 +90,21 @@ def fig10b_sizes():
 # End-to-end runners (shared by Figures 10c-10h, 13, 14, §5.3.3)
 # ----------------------------------------------------------------------
 
-def _routed(kind, plan_fn, profile_fn, data, n_nodes):
-    """Resolve ``kind == "auto"`` through the cost-based router."""
-    if kind != "auto":
-        return kind
+def _routed(run, plan, data, n_nodes, tuning):
+    """Run ``kind == "auto"`` on the engine with the smallest makespan.
+
+    Every Table-1-capable engine runs the trial once; the chosen
+    engine's own ``(seconds, results, opt)`` is returned, not rerun.
+    """
     from repro.plan import choose_engine
 
-    return choose_engine(
-        plan_fn(), profile_fn(data), n_nodes=n_nodes
-    ).engine
+    runs = {}
+
+    def measure(engine):
+        runs[engine] = run(engine, data, n_nodes=n_nodes, **tuning)
+        return runs[engine][0]
+
+    return runs[choose_engine(plan, measure).engine]
 
 
 def _neuro_end_to_end(kind, subjects, n_nodes=DEFAULT_NODES, optimize=False,
@@ -106,13 +112,14 @@ def _neuro_end_to_end(kind, subjects, n_nodes=DEFAULT_NODES, optimize=False,
     """One end-to-end neuro trial; returns ``(seconds, results, opt)``.
 
     ``optimize`` routes the plan through :func:`repro.plan.optimize_for`
-    under the engine's calibrated cost guard before lowering (``opt`` is
-    the :class:`~repro.plan.opt.OptimizationResult`, or ``None`` on the
-    naive path).  ``kind == "auto"`` resolves through the router first.
+    before lowering (``opt`` is the
+    :class:`~repro.plan.opt.OptimizationResult`, or ``None`` on the
+    naive path).  ``kind == "auto"`` runs every capable engine and keeps
+    the fastest run (:func:`_routed`).
     """
-    from repro.plan.route import neuro_profile
-
-    kind = _routed(kind, neuro_plan, neuro_profile, subjects, n_nodes)
+    if kind == "auto":
+        return _routed(_neuro_end_to_end, neuro_plan(), subjects, n_nodes,
+                       dict(tuning, optimize=optimize, run_label=run_label))
     cluster, engine = fresh_engine(
         kind, n_nodes=n_nodes, workers_per_node=tuning.pop("workers_per_node", None)
     )
@@ -134,7 +141,7 @@ def _neuro_end_to_end(kind, subjects, n_nodes=DEFAULT_NODES, optimize=False,
     if optimize:
         from repro.plan import optimize_for
 
-        opt = optimize_for(plan, kind, profile=neuro_profile(subjects))
+        opt = optimize_for(plan, kind)
         plan = opt.plan
     results = lower(plan, kind, engine).run(subjects, **tuning)
     return watch.lap(), results, opt
@@ -153,9 +160,9 @@ def run_neuro_end_to_end(kind, subjects, n_nodes=DEFAULT_NODES, **tuning):
 def _astro_end_to_end(kind, visits, n_nodes=DEFAULT_NODES, optimize=False,
                       run_label=None, **tuning):
     """One end-to-end astro trial; returns ``(seconds, results, opt)``."""
-    from repro.plan.route import astro_profile
-
-    kind = _routed(kind, astro_plan, astro_profile, visits, n_nodes)
+    if kind == "auto":
+        return _routed(_astro_end_to_end, astro_plan(), visits, n_nodes,
+                       dict(tuning, optimize=optimize, run_label=run_label))
     cluster, engine = fresh_engine(
         kind, n_nodes=n_nodes, workers_per_node=tuning.pop("workers_per_node", None)
     )
@@ -175,7 +182,7 @@ def _astro_end_to_end(kind, visits, n_nodes=DEFAULT_NODES, optimize=False,
     if optimize:
         from repro.plan import optimize_for
 
-        opt = optimize_for(plan, kind, profile=astro_profile(visits))
+        opt = optimize_for(plan, kind)
         plan = opt.plan
     results = lower(plan, kind, engine).run(visits, **tuning)
     return watch.lap(), results, opt
@@ -226,30 +233,6 @@ def result_digest(value):
     return digest.hexdigest()[:16]
 
 
-def optimize_token(pipeline, kind, count, profile, n_nodes=DEFAULT_NODES):
-    """Fingerprint of the optimization a cell would run under.
-
-    This is the value carried in the trial params when ``optimize`` is
-    requested, so optimized runs are content-addressed by the exact
-    optimizer outcome (rule catalog, guard constants, plan shape) in
-    the trial cache — never colliding with naive entries or with stale
-    optimizer builds.  Truthy, so trial bodies treat it as the
-    ``optimize`` flag itself.
-    """
-    from repro.plan import optimize_for
-    from repro.plan.route import astro_profile, neuro_profile
-
-    if pipeline == "neuro":
-        data = neuro_subjects(count, **profile)
-        return optimize_for(
-            neuro_plan(), kind, profile=neuro_profile(data)
-        ).fingerprint()
-    data = astro_visits(count, **profile)
-    return optimize_for(
-        astro_plan(), kind, profile=astro_profile(data)
-    ).fingerprint()
-
-
 @trial("optcell")
 def _trial_optcell(pipeline, kind, count, n_nodes, profile):
     """Run one (pipeline, engine) cell naive then optimized.
@@ -279,7 +262,6 @@ def _trial_optcell(pipeline, kind, count, n_nodes, profile):
         "identical": result_digest(naive_out) == result_digest(opt_out),
         "digest": result_digest(naive_out),
         "rules": "; ".join(f.detail for f in opt.firings) or "(no rewrites)",
-        "fingerprint": opt.fingerprint(),
     }
 
 
@@ -311,20 +293,27 @@ def opt_comparison(n_subjects=2, n_visits=2, n_nodes=DEFAULT_NODES,
 
 def routing_table(n_subjects=2, n_visits=2, n_nodes=DEFAULT_NODES,
                   neuro_profile=None, astro_profile=None):
-    """Router decisions for both pipelines at the given workload sizes."""
-    from repro.plan import choose_engine
-    from repro.plan import route as R
+    """Router decisions for both pipelines from measured makespans.
 
-    neuro_profile = neuro_profile or NEURO_BENCH
-    astro_profile = astro_profile or ASTRO_BENCH
-    subjects = neuro_subjects(n_subjects, **neuro_profile)
-    visits = astro_visits(n_visits, **astro_profile)
+    Each capable engine's makespan is its naive end-to-end trial
+    (``fig10c``/``fig10d`` cells, so the trial cache replays them).
+    """
+    from repro.plan import choose_engine
+
     rows = []
-    for pipeline, plan, prof in (
-        ("neuro", neuro_plan(), R.neuro_profile(subjects)),
-        ("astro", astro_plan(), R.astro_profile(visits)),
+    for pipeline, plan, fn, count, profile in (
+        ("neuro", neuro_plan(), "fig10c", n_subjects,
+         neuro_profile or NEURO_BENCH),
+        ("astro", astro_plan(), "fig10d", n_visits,
+         astro_profile or ASTRO_BENCH),
     ):
-        decision = choose_engine(plan, prof, n_nodes=n_nodes)
+        def measure(engine, fn=fn, count=count, profile=profile):
+            spec = TrialSpec(fn, {"kind": engine, "count": count,
+                                  "n_nodes": n_nodes,
+                                  "profile": dict(profile)}, engine=engine)
+            return grid_rows([spec])[0]["simulated_s"]
+
+        decision = choose_engine(plan, measure)
         for row in decision.as_rows():
             rows.append(dict({"pipeline": pipeline}, **row))
     return rows
@@ -353,10 +342,11 @@ def fig10c_neuro_end_to_end(subject_counts=NEURO_SIZES,
     """Fig10c neuro end to end.
 
     With ``optimize`` every trial's plan passes through the optimizer
-    first; the trial params then carry the optimization fingerprint, so
-    optimized cells are separately keyed in the trial cache and the
-    naive entries (and their snapshots) stay byte-identical.
-    ``engines=("auto",)`` resolves each cell through the router.
+    first; the trial params then carry ``optimize``, so optimized cells
+    are separately keyed in the trial cache (whose key also hashes the
+    ``repro`` source, optimizer included) and the naive entries (and
+    their snapshots) stay byte-identical.  ``engines=("auto",)`` runs
+    each cell on every capable engine and keeps the fastest.
     """
     profile = profile or NEURO_BENCH
     return grid_rows(
@@ -365,10 +355,7 @@ def fig10c_neuro_end_to_end(subject_counts=NEURO_SIZES,
             dict(
                 {"kind": kind, "count": count, "n_nodes": n_nodes,
                  "profile": dict(profile)},
-                **({"optimize": optimize_token(
-                    "neuro", kind, count, profile, n_nodes=n_nodes)}
-                   if optimize and kind != "auto"
-                   else {"optimize": True} if optimize else {}),
+                **({"optimize": True} if optimize else {}),
             ),
             engine=kind,
         )
@@ -393,10 +380,7 @@ def fig10d_astro_end_to_end(visit_counts=ASTRO_SIZES,
             dict(
                 {"kind": kind, "count": count, "n_nodes": n_nodes,
                  "profile": dict(profile)},
-                **({"optimize": optimize_token(
-                    "astro", kind, count, profile, n_nodes=n_nodes)}
-                   if optimize and kind != "auto"
-                   else {"optimize": True} if optimize else {}),
+                **({"optimize": True} if optimize else {}),
             ),
             engine=kind,
         )

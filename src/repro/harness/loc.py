@@ -146,7 +146,7 @@ def measured_table1():
             "TensorFlow": None,
         },
         "Data Ingest": {
-            "Dask": 6,  # the fetch closure in on_dask.run
+            "Dask": 6,  # fetch + fetch_cost in dask.lowering.astro.run
             "SciDB": _sum([a_scidb.sky_mosaic, a_scidb.ingest]),
             "Spark": _sum([a_spark.build_exposure_rdd]),
             "Myria": _sum([a_myria._loader, a_myria.ingest]),

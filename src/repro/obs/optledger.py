@@ -11,8 +11,9 @@ scorecard: per-cell simulated makespans side by side, the per-op
 critical-path blame rows that moved, and the two invariants the
 `harness optimize --check` / ``ledger --optimize`` gates enforce:
 
-- **non-increasing makespan** — the cost guard only accepts rewrites
-  that strictly win, so ``optimized <= naive`` on every cell;
+- **non-increasing makespan** — rewrites are applied only for engines
+  whose lowering runs a fused carrier as one task, so ``optimized <=
+  naive`` on every cell (and this gate measures it);
 - **byte-identical results** — rewrites are semantics-preserving, so
   materialized outputs digest identically (asserted trial-side and
   recorded in the comparison rows, not re-derivable from snapshots).

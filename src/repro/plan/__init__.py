@@ -26,17 +26,9 @@ from repro.plan.opt import (
     OptimizationResult,
     Optimizer,
     RuleFiring,
-    default_optimizer,
     optimize_for,
-    optimize_logical,
 )
-from repro.plan.route import (
-    RoutingDecision,
-    choose_engine,
-    engine_guard,
-    estimate_plan_cost,
-    supports,
-)
+from repro.plan.route import RoutingDecision, choose_engine, supports
 
 # Engine name -> module that exposes lower(plan, ctx).
 ENGINE_LOWERINGS = {
@@ -78,13 +70,9 @@ __all__ = [
     "RuleFiring",
     "astro_plan",
     "choose_engine",
-    "default_optimizer",
-    "engine_guard",
-    "estimate_plan_cost",
     "lower",
     "neuro_plan",
     "optimize_for",
-    "optimize_logical",
     "provenance_id",
     "supports",
 ]

@@ -2,43 +2,45 @@
 
 The optimizer applies a catalog of semantics-preserving rewrite rules
 (`repro.plan.rules`) to fixpoint under a bounded pass budget.  Each rule
-is *match + apply + cost-guard*: ``sites()`` enumerates candidate
-rewrite sites, ``apply()`` produces a rewritten (and re-validated) plan,
-and the optimizer keeps the rewrite only when the cost guard says the
-target engine strictly benefits.  Every accepted rewrite is recorded in
-a :class:`RuleFiring` trace, so `harness optimize` can explain exactly
-what the compiler did and why — the raco ``rules.py``/``opt_rules``
-shape, scaled to this repo's IR.
+is *match + apply*: ``sites()`` enumerates candidate rewrite sites and
+``apply()`` produces a rewritten (and re-validated) plan.  Every
+rewrite is recorded in a :class:`RuleFiring` trace, so `harness
+optimize` can explain exactly what the compiler did — the raco
+``rules.py``/``opt_rules`` shape, scaled to this repo's IR.
 
-Guards are deliberately conservative: a rewrite that an engine cannot
-exploit (Spark already pipelines narrow chains into stages; Myria
-pipelines operators within a fragment) estimates as cost-neutral and is
-*rejected*, leaving the plan byte-identical to the naive one.  That is
-what makes ``optimized makespan <= naive`` a guarantee rather than a
-hope: only strictly-winning rewrites survive.
+Whether a rewrite pays is decided by lowering structure, not by a cost
+estimate: :func:`optimize_for` runs the catalog only for engines whose
+lowering executes a fused carrier as one physical task
+(:data:`FUSING_ENGINES`), and leaves every other engine's plan
+byte-identical to the naive one.  The measured check that optimized
+makespans never exceed naive ones is the harness's ``opt`` gate.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 #: Default bound on full rule-catalog passes before the optimizer stops
 #: (a safety valve; real plans reach fixpoint in one or two passes).
 MAX_PASSES = 8
 
+#: Engines whose lowering runs a fused carrier as one physical task.
+#: Dask pays ``dask_task_overhead`` per graph node, so collapsing a
+#: narrow chain removes real dispatch work.  Spark already groups
+#: narrow ops into one stage and Myria pipelines operators inside a
+#: fragment, so fusing for them would change nothing they execute.
+FUSING_ENGINES = ("dask",)
+
 
 @dataclass(frozen=True)
 class RuleFiring:
-    """One accepted rewrite, for the firing trace."""
+    """One applied rewrite, for the firing trace."""
 
     rule: str                    # rule name
     pass_no: int                 # which fixpoint pass fired it
     site: Tuple[str, ...]        # op ids the rewrite touched
     detail: str                  # human-readable description
-    saving: Optional[float] = None   # estimated seconds saved (guarded mode)
 
     def as_row(self):
         """Row form for snapshots and CLI tables."""
@@ -47,7 +49,6 @@ class RuleFiring:
             "pass": self.pass_no,
             "site": list(self.site),
             "detail": self.detail,
-            "saving_s": self.saving,
         }
 
 
@@ -59,34 +60,6 @@ class OptimizationResult:
     firings: Tuple[RuleFiring, ...] = ()
     engine: Optional[str] = None
     passes: int = 0
-
-    @property
-    def changed(self):
-        """Changed."""
-        return bool(self.firings)
-
-    def fingerprint(self):
-        """Stable hash of the optimization outcome.
-
-        Joins the trial cache key so optimized and naive runs of the
-        same figure coexist in both cache tiers.  An empty trace hashes
-        to a stable "unchanged" token, distinct from the naive path not
-        passing any optimizer descriptor at all.
-        """
-        doc = json.dumps(
-            {
-                "engine": self.engine,
-                "firings": [f.as_row() for f in self.firings],
-                "plan": sorted(self.plan.fingerprints().items()),
-            },
-            sort_keys=True,
-            default=repr,
-        )
-        return hashlib.sha256(doc.encode("utf-8")).hexdigest()
-
-    def trace_rows(self):
-        """Trace rows."""
-        return [f.as_row() for f in self.firings]
 
 
 class RewriteRule:
@@ -108,57 +81,6 @@ class RewriteRule:
         return f"{self.name} at {site}"
 
 
-class CostGuard:
-    """Decides whether a candidate rewrite is kept.
-
-    ``estimate(plan)`` prices a whole plan in estimated simulated
-    seconds for the guard's engine; ``accepts`` keeps a rewrite only on
-    strict improvement beyond a tiny epsilon (so float noise can never
-    flip a neutral rewrite into an accepted one).
-    """
-
-    epsilon = 1e-9
-
-    def __init__(self, estimate, engine=None):
-        self._estimate = estimate
-        self.engine = engine
-
-    def estimate(self, plan):
-        """Estimate."""
-        return float(self._estimate(plan))
-
-    def accepts(self, before, after):
-        """Returns the estimated saving if strictly positive, else None."""
-        saving = self.estimate(before) - self.estimate(after)
-        if saving > self.epsilon:
-            return saving
-        return None
-
-
-def structural_guard():
-    """Engine-agnostic guard: fewer/cheaper ops win.
-
-    Used when optimizing without an engine target (tests, the `harness
-    optimize` explain view): prices a plan by op count with materialize
-    weighted heaviest, so elision/CSE/fusion all register as wins while
-    pushdown — which only reorders — is accepted via its own structural
-    preference (a filter earlier in the chain counts fractionally less).
-    """
-    weights = {"materialize": 4.0, "group_by": 2.0}
-
-    def estimate(plan):
-        total = 0.0
-        for index, op in enumerate(plan.ops):
-            weight = weights.get(op.kind, 1.0)
-            if op.kind == "filter":
-                # Earlier filters are better: weight grows with depth.
-                weight = 1.0 + 0.01 * index
-            total += weight
-        return total
-
-    return CostGuard(estimate, engine=None)
-
-
 class Optimizer:
     """Applies a rule catalog to fixpoint under a pass budget."""
 
@@ -166,15 +88,14 @@ class Optimizer:
         self.rules = tuple(rules)
         self.max_passes = max_passes
 
-    def optimize(self, plan, guard=None):
+    def optimize(self, plan, engine=None):
         """Rewrite ``plan`` to fixpoint; returns :class:`OptimizationResult`.
 
-        Each pass offers every rule every current site; a rewrite is
-        kept only when the guard accepts it.  The pass loop ends when a
-        full pass accepts nothing or the pass budget runs out.
+        Each pass applies every rule at its first site, re-enumerating
+        after each rewrite (sites are positional and a rewrite
+        invalidates its siblings).  The pass loop ends when a full pass
+        fires nothing or the pass budget runs out.
         """
-        if guard is None:
-            guard = structural_guard()
         current = plan
         firings = []
         passes = 0
@@ -182,60 +103,36 @@ class Optimizer:
             passes = pass_no
             fired_this_pass = False
             for rule in self.rules:
-                # Re-enumerate after every accepted rewrite: sites are
-                # positional and a rewrite invalidates its siblings.
                 while True:
-                    accepted = False
-                    for site in rule.sites(current):
-                        candidate = rule.apply(current, site)
-                        saving = guard.accepts(current, candidate)
-                        if saving is None:
-                            continue
-                        firings.append(RuleFiring(
-                            rule=rule.name,
-                            pass_no=pass_no,
-                            site=tuple(site),
-                            detail=rule.describe(current, site),
-                            saving=saving,
-                        ))
-                        current = candidate
-                        accepted = True
-                        fired_this_pass = True
+                    site = next(iter(rule.sites(current)), None)
+                    if site is None:
                         break
-                    if not accepted:
-                        break
+                    firings.append(RuleFiring(
+                        rule=rule.name,
+                        pass_no=pass_no,
+                        site=tuple(site),
+                        detail=rule.describe(current, site),
+                    ))
+                    current = rule.apply(current, site)
+                    fired_this_pass = True
             if not fired_this_pass:
                 break
         return OptimizationResult(
             plan=current,
             firings=tuple(firings),
-            engine=guard.engine,
+            engine=engine,
             passes=passes,
         )
 
 
-def default_optimizer():
-    """The standard rule catalog, in application order."""
+def optimize_for(plan, engine):
+    """Optimize ``plan`` for one engine.
+
+    Engines outside :data:`FUSING_ENGINES` run an empty catalog: the
+    plan comes back unchanged with no firings, so their optimized runs
+    lower the naive plan.
+    """
     from repro.plan.rules import DEFAULT_RULES
 
-    return Optimizer(DEFAULT_RULES)
-
-
-def optimize_for(plan, engine, profile=None, cost_model=None):
-    """Optimize ``plan`` for one engine under its calibrated cost guard.
-
-    ``profile`` describes the workload's nominal sizes (see
-    :mod:`repro.plan.route`); without one a generic unit profile is
-    used, which preserves the guard's *relative* judgments (per-task
-    overheads and duplication factors) even if absolute seconds are
-    meaningless.
-    """
-    from repro.plan.route import engine_guard
-
-    guard = engine_guard(engine, profile=profile, cost_model=cost_model)
-    return default_optimizer().optimize(plan, guard=guard)
-
-
-def optimize_logical(plan):
-    """Optimize ``plan`` with the engine-agnostic structural guard."""
-    return default_optimizer().optimize(plan)
+    rules = DEFAULT_RULES if engine in FUSING_ENGINES else ()
+    return Optimizer(rules).optimize(plan, engine=engine)

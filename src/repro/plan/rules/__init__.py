@@ -1,27 +1,17 @@
 """The optimizer's rewrite-rule catalog.
 
-Application order matters only as a heuristic (the optimizer loops to
-fixpoint anyway): elision first so dead branches never get optimized,
-CSE next so fusion sees the merged graph, pushdown before fusion so a
-pushed filter can still fuse with its new neighbors.
+Only narrow-map fusion remains: it is the one rewrite that changes
+what an engine executes on the real plans (Dask's task graph, see
+:data:`repro.plan.opt.FUSING_ENGINES`).
 """
 
-from repro.plan.rules.cse import EliminateCommonSubexpressions
-from repro.plan.rules.elision import ElideDeadMaterialize
 from repro.plan.rules.fusion import FuseNarrowMaps
-from repro.plan.rules.pushdown import PushFilterThroughMap
 
 DEFAULT_RULES = (
-    ElideDeadMaterialize(),
-    EliminateCommonSubexpressions(),
-    PushFilterThroughMap(),
     FuseNarrowMaps(),
 )
 
 __all__ = [
     "DEFAULT_RULES",
-    "ElideDeadMaterialize",
-    "EliminateCommonSubexpressions",
     "FuseNarrowMaps",
-    "PushFilterThroughMap",
 ]

@@ -20,11 +20,6 @@ def rewire(ops, old_id, new_id):
     return tuple(out)
 
 
-def drop(ops, op_id):
-    """The op tuple without ``op_id``."""
-    return tuple(op for op in ops if op.op_id != op_id)
-
-
 def consumers_of(plan, op_id):
     """Every op consuming ``op_id`` — as a parent or a side input."""
     return tuple(

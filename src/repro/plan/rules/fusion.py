@@ -5,16 +5,13 @@ Fuses ``b`` (a ``map``/``flat_map``) into its single parent ``a`` when
 map, flat_map).  The fused carrier remembers its members (see
 :func:`repro.plan.ir.fused_members`), so a lowering can either execute
 the members as one physical task (Dask, where every graph node pays
-``dask_task_overhead``) or expand them back to the original sequence
-(Spark, whose scheduler already pipelines narrow ops into stages —
-which is also why the Spark cost guard prices this rewrite as neutral
-and rejects it).
+``dask_task_overhead``) or expand them back to the original sequence.
+Which engines get fused plans at all is
+:data:`repro.plan.opt.FUSING_ENGINES`.
 
-Whether fusion *pays* is the cost guard's call, not this rule's: fusing
-a map into a fan-out ``flat_map`` that an engine lowers as
-one-task-per-output-element (Dask's per-block ``repart``) would
-duplicate the map's work per element, and the per-engine estimator
-prices exactly that duplication (see ``repro.plan.route``).
+A fan-out ``flat_map`` (``n_blocks > 1``) never joins a carrier: Dask
+lowers it one task per output block, so every upstream member fused
+with it would run once per block instead of once per input.
 """
 
 from repro.plan.ir import FUSED_SEP, Op, fused_members, member_doc
@@ -26,6 +23,12 @@ FUSABLE_PARENTS = ("scan", "filter", "map", "flat_map")
 
 #: Op kinds that may be fused into their parent.
 FUSABLE_CHILDREN = ("map", "flat_map")
+
+
+def _fans_out(op):
+    """True when ``op`` (or a fused member of it) splits each input."""
+    return any(m.kind == "flat_map" and int(m.param("n_blocks") or 1) > 1
+               for m in fused_members(op))
 
 
 def _carrier_kind(members):
@@ -40,7 +43,7 @@ def _carrier_kind(members):
 
 
 def fuse_pair(plan, a_id, b_id):
-    """The plan with ``b_id`` fused into ``a_id`` (no guard applied)."""
+    """The plan with ``b_id`` fused into ``a_id`` (no site checks)."""
     a = plan.op(a_id)
     b = plan.op(b_id)
     members = fused_members(a) + fused_members(b)
@@ -82,7 +85,7 @@ class FuseNarrowMaps(RewriteRule):
                 a = plan.op(b.parents[0])
             except KeyError:
                 continue
-            if a.kind not in FUSABLE_PARENTS:
+            if a.kind not in FUSABLE_PARENTS or _fans_out(a) or _fans_out(b):
                 continue
             if len(consumers_of(plan, a.op_id)) != 1:
                 continue

@@ -133,8 +133,11 @@ def engine_attributions():
     from repro.engines.scidb import SciDBConnection
     from repro.engines.spark import SparkContext
     from repro.engines.tensorflow import Session as TfSession
-    from repro.pipelines.neuro import on_dask, on_myria, on_scidb, on_spark
-    from repro.pipelines.neuro import on_tensorflow as on_tf
+    from repro.engines.dask.lowering import neuro as neuro_dask
+    from repro.engines.myria.lowering import neuro as neuro_myria
+    from repro.engines.scidb.lowering import neuro as neuro_scidb
+    from repro.engines.spark.lowering import neuro as neuro_spark
+    from repro.engines.tensorflow.lowering import neuro as neuro_tf
     from repro.pipelines.neuro.staging import stage_subjects
 
     subject = generate_subject("s0", scale=12, n_volumes=12)
@@ -150,25 +153,25 @@ def engine_attributions():
 
     cluster = spark_cluster()
     stage_subjects(cluster.object_store, [subject])
-    on_spark.run(SparkContext(cluster), [subject], input_partitions=16)
+    neuro_spark.run(SparkContext(cluster), [subject], input_partitions=16)
     results["spark"] = (cluster, attribute_critical_path(cluster))
 
     cluster = worker_cluster()
     stage_subjects(cluster.object_store, [subject])
-    on_myria.run(MyriaConnection(cluster), [subject], source="s3")
+    neuro_myria.run(MyriaConnection(cluster), [subject], source="s3")
     results["myria"] = (cluster, attribute_critical_path(cluster))
 
     cluster = spark_cluster()
     stage_subjects(cluster.object_store, [subject])
-    on_dask.run(DaskClient(cluster), [subject])
+    neuro_dask.run(DaskClient(cluster), [subject])
     results["dask"] = (cluster, attribute_critical_path(cluster))
 
     cluster = worker_cluster()
-    on_scidb.run(SciDBConnection(cluster), subject)
+    neuro_scidb.run(SciDBConnection(cluster), subject)
     results["scidb"] = (cluster, attribute_critical_path(cluster))
 
     cluster = spark_cluster()
-    on_tf.run(TfSession(cluster), subject)
+    neuro_tf.run(TfSession(cluster), subject)
     results["tensorflow"] = (cluster, attribute_critical_path(cluster))
 
     return results

@@ -8,7 +8,10 @@ from repro.engines.dask import DaskClient
 from repro.engines.myria import MyriaConnection
 from repro.engines.scidb import SciDBConnection
 from repro.engines.spark import SparkContext
-from repro.pipelines.astro import on_dask, on_myria, on_scidb, on_spark
+from repro.engines.dask.lowering import astro as astro_dask
+from repro.engines.myria.lowering import astro as astro_myria
+from repro.engines.scidb.lowering import astro as astro_scidb
+from repro.engines.spark.lowering import astro as astro_spark
 from repro.pipelines.astro.reference import run_reference
 from repro.pipelines.astro.staging import stage_visits
 
@@ -36,7 +39,7 @@ def test_spark_matches_reference(tiny_visits, reference):
     cluster = SimulatedCluster(ClusterSpec(n_nodes=4))
     sc = SparkContext(cluster)
     stage_visits(cluster.object_store, tiny_visits)
-    coadds, sources = on_spark.run(sc, tiny_visits, input_partitions=16)
+    coadds, sources = astro_spark.run(sc, tiny_visits, input_partitions=16)
     _assert_matches(coadds, sources, reference)
 
 
@@ -46,7 +49,7 @@ def test_myria_matches_reference(tiny_visits, reference):
     )
     conn = MyriaConnection(cluster)
     stage_visits(cluster.object_store, tiny_visits)
-    coadds, sources = on_myria.run(
+    coadds, sources = astro_myria.run(
         conn, tiny_visits, mode="materialized", source="s3"
     )
     _assert_matches(coadds, sources, reference)
@@ -58,7 +61,7 @@ def test_myria_multiquery_matches_reference(tiny_visits, reference):
     )
     conn = MyriaConnection(cluster)
     stage_visits(cluster.object_store, tiny_visits)
-    coadds, sources = on_myria.run(
+    coadds, sources = astro_myria.run(
         conn, tiny_visits, mode="multiquery", chunks=2, source="s3"
     )
     _assert_matches(coadds, sources, reference)
@@ -71,7 +74,7 @@ def test_dask_matches_reference(tiny_visits, reference):
     cluster = SimulatedCluster(ClusterSpec(n_nodes=4))
     client = DaskClient(cluster)
     stage_visits(cluster.object_store, tiny_visits)
-    coadds, sources = on_dask.run(client, tiny_visits)
+    coadds, sources = astro_dask.run(client, tiny_visits)
     _assert_matches(coadds, sources, reference)
 
 
@@ -81,17 +84,17 @@ def test_scidb_coadd_only(tiny_visits):
         ClusterSpec(n_nodes=4, workers_per_node=4, slots_per_worker=1)
     )
     sdb = SciDBConnection(cluster)
-    coadd = on_scidb.run(sdb, tiny_visits)
+    coadd = astro_scidb.run(sdb, tiny_visits)
     assert coadd.array.ndim == 2
     assert np.nanmax(coadd.array) > 0
     with pytest.raises(NotImplementedError):
-        on_scidb.preprocess_step()
+        astro_scidb.preprocess_step()
     with pytest.raises(NotImplementedError):
-        on_scidb.detect_step()
+        astro_scidb.detect_step()
 
 
 def test_scidb_mosaic_covers_field(tiny_visits):
-    stack, origin, nominal = on_scidb.sky_mosaic(tiny_visits)
+    stack, origin, nominal = astro_scidb.sky_mosaic(tiny_visits)
     assert stack.shape[0] == len(tiny_visits)
     # Every visit contributed non-NaN pixels.
     for vi in range(len(tiny_visits)):

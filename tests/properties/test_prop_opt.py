@@ -4,12 +4,12 @@ A reference interpreter evaluates randomly generated linear plans over
 a toy record stream ``(meta, payload)``.  The op annotations are kept
 *truthful*: a map declared ``preserves_meta=True`` leaves metadata
 alone, one declared ``False`` rewrites it; a filter declared
-``on_meta=True`` reads only metadata.  Whatever subset of rewrites the
-optimizer fires — pushdown, fusion, CSE, elision — the interpreted
-outputs at every declared materialize must be identical, the optimized
-plan must still validate (``apply`` re-validates, so a crash here is a
-rule bug), and optimization must be idempotent (a second pass over the
-fixpoint fires nothing).
+``on_meta=True`` reads only metadata.  Whatever fusions
+:func:`optimize_for` fires, the interpreted outputs at every declared
+materialize must be identical, the optimized plan must still validate
+(``apply`` re-validates, so a crash here is a rule bug), and
+optimization must be idempotent (a second pass over the fixpoint fires
+nothing).
 """
 
 from hypothesis import given, settings
@@ -24,7 +24,7 @@ from repro.plan.ir import (
     materialize,
     scan,
 )
-from repro.plan.opt import default_optimizer, optimize_for, optimize_logical
+from repro.plan.opt import FUSING_ENGINES, optimize_for
 
 
 # ----------------------------------------------------------------------
@@ -125,25 +125,34 @@ def _interpret(plan):
 @given(_CHAIN)
 @settings(max_examples=60, deadline=None)
 def test_structural_rewrites_preserve_interpretation(stages):
+    # Dask is the fusing engine: every qualifying site is rewritten.
     plan = _build(stages)
-    result = optimize_logical(plan)
+    result = optimize_for(plan, "dask")
     assert _interpret(result.plan) == _interpret(plan)
+    for carrier in result.plan.ops:
+        members = fused_members(carrier)
+        if len(members) > 1:
+            # A fan-out flat_map never shares a carrier.
+            assert all(int(m.param("n_blocks") or 1) == 1 for m in members
+                       if m.kind == "flat_map")
 
 
 @given(_CHAIN, st.sampled_from(["dask", "spark", "myria"]))
 @settings(max_examples=40, deadline=None)
-def test_engine_guarded_rewrites_preserve_interpretation(stages, engine):
+def test_per_engine_rewrites_preserve_interpretation(stages, engine):
     plan = _build(stages)
     result = optimize_for(plan, engine)
     assert result.engine == engine
     assert _interpret(result.plan) == _interpret(plan)
+    if engine not in FUSING_ENGINES:
+        assert result.firings == ()
 
 
 @given(_CHAIN)
 @settings(max_examples=40, deadline=None)
 def test_optimization_is_idempotent(stages):
-    once = optimize_logical(_build(stages))
-    twice = default_optimizer().optimize(once.plan)
+    once = optimize_for(_build(stages), "dask")
+    twice = optimize_for(once.plan, "dask")
     assert twice.firings == ()
     assert twice.plan.fingerprints() == once.plan.fingerprints()
 
@@ -152,14 +161,6 @@ def test_optimization_is_idempotent(stages):
 @settings(max_examples=40, deadline=None)
 def test_optimized_plans_validate_and_keep_outputs(stages):
     plan = _build(stages)
-    optimized = optimize_logical(plan).plan
+    optimized = optimize_for(plan, "dask").plan
     optimized.validate()  # idempotent re-lint must not raise
     assert optimized.outputs() == plan.outputs()
-
-
-@given(_CHAIN)
-@settings(max_examples=40, deadline=None)
-def test_fingerprint_is_deterministic(stages):
-    plan = _build(stages)
-    assert optimize_logical(plan).fingerprint() == \
-        optimize_logical(plan).fingerprint()
